@@ -548,9 +548,7 @@ def _shape_workload(
     fused/unfused agree on real bytes.  Tracing forces the per-span
     generator path, so ``trace=True`` doubles as the unfused comparison
     at identical simulated cost structure.  ``batch`` arms the vectorized
-    multi-phase drain on top of fusion (a no-op without numpy — the
-    Simulator falls back to the scalar burst, so the leg still times
-    something meaningful rather than erroring).
+    multi-phase drain on top of fusion.
 
     ``run_round`` replays one full collective round on the *same* node —
     the warm regime every figure sweep actually runs in, where the

@@ -1,9 +1,14 @@
-"""Per-process paged address spaces backed by numpy arrays.
+"""Per-process paged address spaces, optionally backed by numpy arrays.
 
 Each simulated process owns an :class:`AddressSpace`.  Buffers are allocated
-page-aligned at unique virtual addresses; the bytes are real (``np.uint8``),
-so a CMA transfer physically moves data and every collective's result can be
-checked against MPI semantics after a timed run.
+page-aligned at unique virtual addresses.  On a verifying node the bytes are
+real (``np.uint8``), so a CMA transfer physically moves data and every
+collective's result can be checked against MPI semantics after a timed run.
+A timing-only node (``verify=False``) gets *address-only* buffers: the same
+addresses, lengths, guard pages and faults, but no backing array
+(``data is None``) — no timing path reads bytes, and allocating them only
+cost time and memory.  Byte access to such a buffer raises
+:class:`AddressOnlyError`.
 
 Address resolution is intentionally strict: an iovec that touches memory
 outside any allocated buffer faults with ``EFAULT``, exactly the behaviour
@@ -19,15 +24,28 @@ import numpy as np
 
 from repro.kernel.errors import CMAError, EFAULT, ESRCH
 
-__all__ = ["Buffer", "AddressSpace", "AddressSpaceManager", "copy_iov_bytes"]
+__all__ = [
+    "AddressOnlyError",
+    "Buffer",
+    "AddressSpace",
+    "AddressSpaceManager",
+    "copy_iov_bytes",
+]
 
 #: virtual address spacing between processes, keeps addr ranges disjoint
 _VA_BASE = 0x7F00_0000_0000
 _VA_STRIDE = 0x0000_1000_0000
 
 
+class AddressOnlyError(RuntimeError):
+    """Byte access to an address-only buffer (timing-only mode)."""
+
+
 class Buffer:
-    """A page-aligned allocation in one process's address space."""
+    """A page-aligned allocation in one process's address space.
+
+    An address-only buffer (``backed=False``) has ``data is None``.
+    """
 
     __slots__ = ("space", "addr", "nbytes", "data", "name")
 
@@ -38,6 +56,7 @@ class Buffer:
         nbytes: int,
         name: str,
         data: Optional[np.ndarray] = None,
+        backed: bool = True,
     ):
         self.space = space
         self.addr = addr
@@ -45,7 +64,9 @@ class Buffer:
         # ``data`` lets the arena hand back a recycled (already re-zeroed)
         # array; a fresh allocation and a recycled one are indistinguishable
         # to callers.
-        self.data = np.zeros(nbytes, dtype=np.uint8) if data is None else data
+        if data is None and backed:
+            data = np.zeros(nbytes, dtype=np.uint8)
+        self.data = data
         self.name = name
 
     @property
@@ -53,7 +74,7 @@ class Buffer:
         return self.addr + self.nbytes
 
     def fill(self, values: np.ndarray | int) -> None:
-        self.data[:] = values
+        self.view()[:] = values
 
     def view(self, offset: int = 0, nbytes: Optional[int] = None) -> np.ndarray:
         """A numpy view (no copy) of a byte range of this buffer."""
@@ -61,6 +82,11 @@ class Buffer:
             nbytes = self.nbytes - offset
         if offset < 0 or nbytes < 0 or offset + nbytes > self.nbytes:
             raise CMAError(EFAULT, f"view [{offset}, {offset + nbytes}) outside {self}")
+        if self.data is None:
+            raise AddressOnlyError(
+                f"buffer {self.name!r} is address-only: timing-only mode "
+                "(verify=False) allocates no bytes to read or write"
+            )
         return self.data[offset : offset + nbytes]
 
     def iov(self, offset: int = 0, nbytes: Optional[int] = None) -> tuple[int, int]:
@@ -78,10 +104,13 @@ class Buffer:
 class AddressSpace:
     """One process's memory map: sorted, non-overlapping buffers."""
 
-    def __init__(self, pid: int, page_size: int, va_base: int):
+    def __init__(
+        self, pid: int, page_size: int, va_base: int, backed: bool = True
+    ):
         self.pid = pid
         self.page_size = page_size
         self.va_base = va_base
+        self.backed = backed
         self._next_addr = va_base
         self._starts: list[int] = []  # sorted buffer base addresses
         self._buffers: list[Buffer] = []  # parallel to _starts
@@ -105,7 +134,7 @@ class AddressSpace:
         if free:
             data = free.pop()
             data[:] = 0
-        buf = Buffer(self, addr, nbytes, name, data=data)
+        buf = Buffer(self, addr, nbytes, name, data=data, backed=self.backed)
         pages = -(-nbytes // self.page_size)
         # leave one guard page between allocations so off-by-one iovecs fault
         self._next_addr += (pages + 1) * self.page_size
@@ -122,11 +151,13 @@ class AddressSpace:
         iovecs, so this is part of the bit-exactness contract.  The arena is
         *replaced* (not extended) with the just-unmapped arrays: consecutive
         same-shape sweep points reuse everything, while a sweep that changes
-        eta cannot accumulate unboundedly many stale sizes.
+        eta cannot accumulate unboundedly many stale sizes.  An address-only
+        space has no arrays, so its arena stays empty.
         """
         arena: dict[int, list[np.ndarray]] = {}
         for buf in self._buffers:
-            arena.setdefault(buf.nbytes, []).append(buf.data)
+            if buf.data is not None:
+                arena.setdefault(buf.nbytes, []).append(buf.data)
         self._arena = arena
         self._starts.clear()
         self._buffers.clear()
@@ -219,7 +250,7 @@ def copy_iov_bytes(
         return dst_space.scatter_bytes(dst_iov, data[:nbytes])
     addr, ln = entries[0]
     sbuf, soff = src_space.resolve(addr, ln)
-    data = sbuf.data[soff : soff + min(ln, nbytes)]
+    data = sbuf.view(soff, min(ln, nbytes))
     pos = 0
     total = len(data)
     for daddr, dln in dst_iov:
@@ -235,16 +266,20 @@ def copy_iov_bytes(
             # process copying within its own allocation): gather_bytes
             # would have detached the data; match that by copying first.
             chunk = chunk.copy()
-        dbuf.data[doff : doff + take] = chunk
+        dbuf.view(doff, take)[:] = chunk
         pos += take
     return pos
 
 
 class AddressSpaceManager:
-    """The 'kernel view' of all processes on a node: pid -> address space."""
+    """The 'kernel view' of all processes on a node: pid -> address space.
 
-    def __init__(self, page_size: int):
+    ``backed=False`` makes every space hand out address-only buffers.
+    """
+
+    def __init__(self, page_size: int, backed: bool = True):
         self.page_size = page_size
+        self.backed = backed
         self._spaces: dict[int, AddressSpace] = {}
         self._n = 0
 
@@ -252,7 +287,7 @@ class AddressSpaceManager:
         if pid in self._spaces:
             raise ValueError(f"pid {pid} already has an address space")
         space = AddressSpace(
-            pid, self.page_size, _VA_BASE + self._n * _VA_STRIDE
+            pid, self.page_size, _VA_BASE + self._n * _VA_STRIDE, self.backed
         )
         self._n += 1
         self._spaces[pid] = space

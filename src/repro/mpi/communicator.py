@@ -51,7 +51,8 @@ class Node:
         self.verify = verify
         self.sim = sim if sim is not None else Simulator()
         self.tracer = Tracer(enabled=trace)
-        self.manager = AddressSpaceManager(arch.params.page_size)
+        # A timing-only node never reads buffer bytes: address-only buffers.
+        self.manager = AddressSpaceManager(arch.params.page_size, backed=verify)
         self.cma = CMAKernel(
             self.sim, self.manager, arch.params, self.tracer, verify=verify
         )

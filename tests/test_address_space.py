@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernel import AddressSpace, AddressSpaceManager, CMAError
+from repro.kernel.address_space import AddressOnlyError
 from repro.kernel.errors import EFAULT, ESRCH
 
 
@@ -315,3 +316,77 @@ class TestCopyIovBytes:
         got = space.gather_bytes([buf.iov()])
         got[:] = 0
         assert list(buf.data) == [9, 9, 9, 9]
+
+
+class TestAddressOnly:
+    """Timing-only nodes get address-only buffers: same addresses, guard
+    pages and faults as backed ones, but no bytes — and any byte access
+    says so instead of failing on ``None``."""
+
+    @pytest.fixture
+    def bare(self):
+        return AddressSpaceManager(page_size=4096, backed=False)
+
+    def test_same_layout_as_backed_but_no_array(self, mgr, bare):
+        backed, unbacked = mgr.create(1), bare.create(1)
+        for n in (1, 100, 4096, 5000):
+            a, b = backed.allocate(n, "x"), unbacked.allocate(n, "x")
+            assert (a.addr, a.nbytes, a.name) == (b.addr, b.nbytes, b.name)
+            assert b.data is None
+        buf = unbacked.allocate(64)
+        assert unbacked.resolve(buf.addr + 8, 8) == (buf, 8)
+        assert buf.iov(8, 8) == (buf.addr + 8, 8)
+        with pytest.raises(CMAError) as exc:
+            unbacked.resolve(buf.end, 1)  # the guard page still faults
+        assert exc.value.errno == EFAULT
+
+    def test_reset_keeps_arena_empty(self, bare):
+        space = bare.create(1)
+        first = space.allocate(8192).addr
+        space.reset()
+        assert space._arena == {}
+        again = space.allocate(8192)
+        assert again.addr == first and again.data is None
+
+    def test_view_names_timing_only_mode(self, bare):
+        buf = bare.create(1).allocate(16)
+        with pytest.raises(AddressOnlyError, match="timing-only"):
+            buf.view(0, 4)
+
+    def test_view_bounds_fault_before_backing_check(self, bare):
+        buf = bare.create(1).allocate(16)
+        with pytest.raises(CMAError):
+            buf.view(8, 16)
+
+    def test_fill_names_timing_only_mode(self, bare):
+        buf = bare.create(1).allocate(16)
+        with pytest.raises(AddressOnlyError, match="timing-only"):
+            buf.fill(7)
+
+    def test_gather_bytes_names_timing_only_mode(self, bare):
+        space = bare.create(1)
+        buf = space.allocate(16)
+        with pytest.raises(AddressOnlyError, match="timing-only"):
+            space.gather_bytes([buf.iov()])
+
+    def test_scatter_bytes_names_timing_only_mode(self, bare):
+        space = bare.create(1)
+        buf = space.allocate(16)
+        with pytest.raises(AddressOnlyError, match="timing-only"):
+            space.scatter_bytes([buf.iov()], np.ones(16, dtype=np.uint8))
+
+    @pytest.mark.parametrize("unbacked_side", ["src", "dst"])
+    @pytest.mark.parametrize("src_entries", [1, 2])
+    def test_copy_iov_bytes_names_timing_only_mode(
+        self, mgr, bare, unbacked_side, src_entries
+    ):
+        from repro.kernel.address_space import copy_iov_bytes
+
+        src_space = (bare if unbacked_side == "src" else mgr).create(1)
+        dst_space = (bare if unbacked_side == "dst" else mgr).create(2)
+        src_iov = [src_space.allocate(8).iov() for _ in range(src_entries)]
+        dst = dst_space.allocate(8 * src_entries)
+        with pytest.raises(AddressOnlyError, match="timing-only"):
+            copy_iov_bytes(
+                src_space, src_iov, dst_space, [dst.iov()], 8 * src_entries
+            )

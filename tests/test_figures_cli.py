@@ -1,5 +1,11 @@
 """Tests for the experiment catalogue and the `python -m repro.bench` CLI."""
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
 from repro.bench.__main__ import main as _bench_cli
@@ -63,3 +69,32 @@ class TestCLI:
     def test_unknown_id_raises(self):
         with pytest.raises(KeyError):
             _bench_cli(["fig99"])
+
+
+@pytest.mark.slow
+def test_bench_all_peak_rss_under_one_gib():
+    """Every quick-axes experiment in one process stays small: timing-only
+    nodes allocate no buffer bytes, so ``bench all`` must not drift back
+    to the multi-GiB peaks that used to get it OOM-killed."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_CACHE_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.bench", "all"],
+        stdout=subprocess.DEVNULL,
+        env=env,
+    )
+    watchdog = threading.Timer(900, proc.kill)
+    watchdog.start()
+    try:
+        # wait4 reports the child's own rusage (its peak RSS, including any
+        # sweep workers it reaped), not the max over every child pytest ran
+        _, status, usage = os.wait4(proc.pid, 0)
+    finally:
+        watchdog.cancel()
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
+    assert proc.returncode == 0
+    peak_mib = usage.ru_maxrss / 1024  # Linux reports KiB
+    assert peak_mib < 1024, f"bench all peaked at {peak_mib:.0f} MiB"

@@ -9,23 +9,31 @@ here randomises over every collective family, in-place, the v-variants,
 and trace on/off, interleaving keys so the pool is genuinely exercised
 (reuse, eviction, and rebuilds all happen).
 
-Below the battery sit unit tests for the reset contract itself: the
+A second battery runs every registered algorithm timing-only, on a fresh
+and on a warm node, and requires exactly the verified run's timings and
+counters: address-only buffers must not move a single number.  Below
+the batteries sit unit tests for the reset contract itself: the
 engine's sequence stream, the address-space arena, and the pool's
 discard-on-failure policy.
 """
 
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro.core.registry import get_algorithm
+from repro.core.registry import ALGORITHMS, get_algorithm
 from repro.core.runner import (
     CollectiveSpec,
     NodePool,
+    _execute,
+    _validated_algorithm,
     run_collective,
     run_collective_pooled,
 )
 from repro.machine import get_arch
+from repro.mpi import Comm, Node
 
 # (collective, algorithm, params, supports_in_place, takes_counts)
 _CANDIDATES = [
@@ -226,6 +234,60 @@ def test_pool_release_clears_mapped_window_state():
         assert not comm._xpmem_attached
     finally:
         pool.release(spec.arch, node, comm)
+
+
+# -- timing-only == verified -------------------------------------------------
+
+_ROOTED = ("scatter", "gather", "bcast", "scatterv", "gatherv", "reduce")
+
+
+def _timing_only_specs():
+    """Every registered (collective, algorithm) at small p and eta, two
+    roots for the rooted collectives."""
+    arch = get_arch("broadwell")
+    for coll, algos in sorted(ALGORITHMS.items()):
+        for alg, info in sorted(algos.items()):
+            params = {t: v for t, v in (("k", 2), ("j", 1)) if t in info.tunable}
+            for procs in (4, 6):
+                if info.check(procs, params):
+                    continue
+                roots = (0, procs - 1) if coll in _ROOTED else (0,)
+                for eta, root in itertools.product((1000, 4096), roots):
+                    yield CollectiveSpec(
+                        coll, alg, arch, procs=procs, eta=eta, root=root,
+                        params=params, verify=False,
+                    )
+
+
+def _run_unbacked(spec, node, comm):
+    """Run ``spec`` on a timing-only node; check no buffer got bytes."""
+    res = _execute(spec, _validated_algorithm(spec), node, comm)
+    bufs = [b for r in range(comm.size) for b in comm.space_of(r)._buffers]
+    assert bufs and all(b.data is None for b in bufs), spec
+    return res
+
+
+def test_timing_only_matches_verified_exactly():
+    """Address-only buffers must not move a single timing: timing-only
+    runs on a fresh node and on a warm pooled node equal the verified run
+    exactly, for every registered algorithm including the library
+    baselines."""
+    specs = list(_timing_only_specs())
+    covered = {(s.collective, s.algorithm) for s in specs}
+    assert covered == {(c, a) for c, algos in ALGORITHMS.items() for a in algos}
+
+    pool = NodePool()
+    for spec in specs:
+        want = _fields(run_collective(replace(spec, verify=True)))
+        node = Node(spec.arch, verify=False)
+        fresh = _run_unbacked(spec, node, Comm(node, spec.procs))
+        assert _fields(fresh) == want, spec
+        for _ in range(2):  # the second lease is guaranteed warm
+            node, comm = pool.node_for(spec.arch, spec.procs, False, False)
+            warm = _run_unbacked(spec, node, comm)
+            pool.release(spec.arch, node, comm)
+            assert _fields(warm) == want, spec
+    assert pool.reuses >= len(specs)
 
 
 # -- reset contract units ----------------------------------------------------
