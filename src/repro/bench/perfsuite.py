@@ -43,9 +43,9 @@ SCHEMA = "bench-engine-v1"
 #: Sections whose regressions fail ``--check`` (CI).  The remaining
 #: sections (``engine``, ``sweep``) are reported but non-gating: they are
 #: dominated by host noise on shared CI runners, while ``convoy``,
-#: ``fig07``, and ``xpmem`` directly cover the convoy fast-forward and
-#: mapped-window steady-state fast paths, ``ring``/``tree``/``pairwise``
-#: plus the ``fig09``/``fig10`` walls cover the phase-shape fast-forward,
+#: ``fig07``, and ``xpmem`` directly cover the fused pin-convoy and
+#: mapped-window steady-state paths, ``ring``/``tree``/``pairwise`` plus
+#: the ``fig09``/``fig10`` walls cover the CMA collective data phases,
 #: ``serve`` covers the compiled-decision-table query engine (scalar
 #: and batched selection rates), and ``sched`` covers the work-stealing
 #: sweep scheduler end to end (mixed fig07+fig13 slice through
@@ -143,7 +143,7 @@ SWEEP_SLICES_SMOKE = {
 
 #: Phase-shape benches: one uncontended data phase per shape, traced
 #: (unfused by construction: spans are recorded between the fused delays)
-#: vs untraced (rides RingStage/TreeRound/PairwiseExchange).
+#: vs untraced (each pin loop rides one PinConvoy).
 SHAPE_PROCS = (8, 32, 64)
 #: per-rank block size: (full, smoke)
 SHAPE_ETA = (64 * 1024, 16 * 1024)
@@ -151,26 +151,14 @@ SHAPE_ETA = (64 * 1024, 16 * 1024)
 #: always runs untimed, so the rate prices the steady state the sweeps
 #: live in, not node construction or first-touch cache fills.
 SHAPE_ROUNDS = (4, 2)
-#: collective emitters behind each shape section
-_SHAPE_FNS = {
-    "ring": ("allgather", "ring_source_read"),
-    "tree": ("bcast", "direct_write"),
-    "pairwise": ("alltoall", "pairwise"),
-}
 
-#: Full-figure acceptance walls: the figure's headline collective swept
-#: over several (procs, eta) points, fused vs unfused on the same node
-#: model.  Both runs process the *same* event stream (the bit-identity
-#: contract), so ``speedup_vs_unfused`` is a pure executor-overhead ratio.
-FIG_WALLS = {
-    "fig10": ("allgather", "ring_source_read"),
-    "fig09": ("alltoall", "pairwise"),
-}
-#: The figures' headline regime is many-core (the paper's KNL has 64+
-#: cores), so the acceptance wall sweeps p ∈ {32, 64} at 64-256 KiB
-#: blocks — the geometry where per-phase event volume dwarfs the scalar
-#: control plane.  Small-p points live in the ``ring``/``pairwise``
-#: shape sections (p ∈ 8/32/64), not here.
+#: Full-figure acceptance walls (fig10: the ring shape, fig09: the
+#: pairwise shape) sweep the figure's headline collective over several
+#: (procs, eta) points.  The figures' headline regime is many-core (the
+#: paper's KNL has 64+ cores), so the acceptance wall sweeps p ∈ {32, 64}
+#: at 64-256 KiB blocks — the geometry where per-phase event volume
+#: dwarfs the scalar control plane.  Small-p points live in the
+#: ``ring``/``pairwise`` shape sections (p ∈ 8/32/64), not here.
 FIG_WALL_POINTS = [(32, 256 * 1024), (64, 64 * 1024), (64, 256 * 1024)]
 #: One mid-size point: the smoke wall must land in the same events/sec
 #: regime as the committed full-size baseline (the 3x gate compares the
@@ -340,13 +328,12 @@ def _time_engine_bench(name: str, smoke: bool, repeats: int) -> dict:
 
 
 def _bench_convoy(readers: int, rounds: int):
-    """Contended pure pin convoys: the steady-state fast-forward workload.
+    """Contended pure pin convoys: the paper's contention workload.
 
     Every contender is a :class:`~repro.sim.engine.PinConvoy` member with
-    no copy time between batches, so after the first grants the epoch is
-    closed and pure — exactly the regime the engine collapses to its
-    closed-form loop.  The hold model mirrors the mm-lock bounce shape
-    (pure in the contender profile, hence memoisable).
+    no copy time between batches, so the whole run is convoy records
+    cycling through one mutex.  The hold model mirrors the mm-lock bounce
+    shape (pure in the contender profile, hence memoisable).
     """
     from repro.sim.engine import PinConvoy, Simulator
     from repro.sim.resources import Mutex
@@ -537,34 +524,28 @@ def _shape_emitter(shape: str):
     }[shape]
 
 
-def _shape_workload(
-    shape: str, procs: int, eta: int, trace: bool, fused: bool,
-    batch: bool = False,
-):
+def _shape_workload(shape: str, procs: int, eta: int, trace: bool):
     """Build a node for ``shape`` and return ``(sim, run_round)``.
 
     ``verify=False``: this times the executor, not the byte movement, and
-    the differential battery (``tests/test_phases.py``) already proves
+    the differential batteries (``tests/test_convoy.py``) already prove
     fused/unfused agree on real bytes.  Tracing forces the per-span
     generator path, so ``trace=True`` doubles as the unfused comparison
-    at identical simulated cost structure.  ``batch`` arms the vectorized
-    multi-phase drain on top of fusion.
+    at identical simulated cost structure.
 
     ``run_round`` replays one full collective round on the *same* node —
     the warm regime every figure sweep actually runs in, where the
-    kernel's segment cache, the engine's drain plans and the builders'
-    phase cache are all hot.  Callers run one warmup round before timing.
+    mm-lock hold memos are hot.  Callers run one warmup round before
+    timing.
     """
     from repro.machine import make_generic
     from repro.mpi import Comm, Node
-    from repro.sim import Simulator
 
     fn = _shape_emitter(shape)
     node = Node(
         make_generic(sockets=2, cores_per_socket=max(1, procs // 2)),
         verify=False,
         trace=trace,
-        sim=Simulator(use_phase_fusion=fused, use_batch_executor=batch),
     )
     comm = Comm(node, procs)
     if shape == "ring":
@@ -594,8 +575,7 @@ def _shape_workload(
 
 
 def _time_shape(
-    shape: str, procs: int, eta: int, trace: bool, fused: bool,
-    batch: bool, rounds: int, repeats: int,
+    shape: str, procs: int, eta: int, trace: bool, rounds: int, repeats: int,
 ):
     """Warm-amortized wall for ``rounds`` rounds, best of ``repeats``.
 
@@ -603,8 +583,8 @@ def _time_shape(
     deltas, so the rate prices exactly the timed rounds (which process an
     identical stream every repeat — the engine is deterministic).
     """
-    sim, run_round = _shape_workload(shape, procs, eta, trace, fused, batch)
-    run_round()  # warmup: fill seg/plan/builder caches, fault pages
+    sim, run_round = _shape_workload(shape, procs, eta, trace)
+    run_round()  # warmup: fill the hold memos, fault pages
     walls = []
     events = 0
     for _ in range(repeats):
@@ -624,8 +604,7 @@ def _run_shape_bench(shape: str, smoke: bool, repeats: int) -> dict:
     for procs in SHAPE_PROCS:
         for trace in (False, True):
             events, walls = _time_shape(
-                shape, procs, eta, trace, fused=True, batch=not trace,
-                rounds=rounds, repeats=repeats,
+                shape, procs, eta, trace, rounds=rounds, repeats=repeats,
             )
             key = f"p{procs}_traced" if trace else f"p{procs}"
             summary = _bestof(walls)
@@ -638,57 +617,34 @@ def _run_shape_bench(shape: str, smoke: bool, repeats: int) -> dict:
 
 
 def _run_fig_wall(fig: str, smoke: bool, repeats: int) -> dict:
-    """Full-figure wall: the headline sweep across all three executors.
-
-    Batch (vectorized drain), burst (scalar fused) and unfused replay the
-    identical event stream (bit-identity is what the differential battery
-    asserts), so a single ``events`` count prices all three rates and
-    ``speedup_vs_unfused`` — batch over unfused — isolates executor
-    overhead: the acceptance number for the phase-shape fast-forward.
-    """
+    """Full-figure wall: the headline sweep on the default engine path."""
     shape = {"fig10": "ring", "fig09": "pairwise"}[fig]
     points = FIG_WALL_POINTS_SMOKE if smoke else FIG_WALL_POINTS
     rounds = SHAPE_ROUNDS[1 if smoke else 0]
-    legs = {
-        "batch": dict(fused=True, batch=True),      # headline fast path
-        "burst": dict(fused=True, batch=False),     # scalar fused
-        "unfused": dict(fused=False, batch=False),  # per-step reference
-    }
-    walls: dict[str, list[float]] = {leg: [] for leg in legs}
+    # One warm workload per sweep point, timed together: the wall is the
+    # whole figure's warm sweep, not any single geometry.
+    loads = [
+        _shape_workload(shape, procs, eta, trace=False) for procs, eta in points
+    ]
+    for _, run_round in loads:
+        run_round()  # warmup
+    walls = []
     events = 0
-    for leg, kw in legs.items():
-        # One warm workload per sweep point, timed together: the wall is
-        # the whole figure's warm sweep, not any single geometry.
-        loads = [
-            _shape_workload(shape, procs, eta, trace=False, **kw)
-            for procs, eta in points
-        ]
+    for _ in range(repeats):
+        e0 = sum(sim.events_processed for sim, _ in loads)
+        t0 = time.perf_counter()
         for _, run_round in loads:
-            run_round()  # warmup
-        for _ in range(repeats):
-            e0 = sum(sim.events_processed for sim, _ in loads)
-            t0 = time.perf_counter()
-            for _, run_round in loads:
-                for _ in range(rounds):
-                    run_round()
-            walls[leg].append(time.perf_counter() - t0)
-            events = sum(sim.events_processed for sim, _ in loads) - e0
-    summary = _bestof(walls["batch"])
-    best = summary["wall_s"]
-    best_burst = min(walls["burst"])
-    best_unf = min(walls["unfused"])
+            for _ in range(rounds):
+                run_round()
+        walls.append(time.perf_counter() - t0)
+        events = sum(sim.events_processed for sim, _ in loads) - e0
+    summary = _bestof(walls)
     return {
         "wall": {
             "points": len(points),
             "events": events,
-            "events_per_sec": round(events / best, 1),
+            "events_per_sec": round(events / summary["wall_s"], 1),
             **summary,
-            "wall_s_burst": round(best_burst, 6),
-            "events_per_sec_burst": round(events / best_burst, 1),
-            "wall_s_unfused": round(best_unf, 6),
-            "wall_s_all_unfused": [round(w, 6) for w in walls["unfused"]],
-            "events_per_sec_unfused": round(events / best_unf, 1),
-            "speedup_vs_unfused": round(best_unf / best, 2),
         }
     }
 
@@ -1068,10 +1024,10 @@ def check_sections(
     the deliberately loose ``factor`` (2x) gate: it catches "the fast path
     fell off", not single-digit-percent drift.  ``engine`` compares
     events/sec per microbench; ``sweep`` compares warm points/sec per
-    slice; ``convoy`` and ``fig07`` compare events/sec per point at
-    ``gate_factor`` — only those two sections fail CI (see
-    :data:`GATED_SECTIONS`).  Sections missing from either side are
-    skipped.
+    slice.  Every section in :data:`GATED_SECTIONS` compares events/sec
+    per point at ``gate_factor``; those are the sections that fail CI
+    (``engine`` and ``sweep`` are reported only).  Sections missing from
+    either side are skipped.
     """
     sections: dict[str, list[str]] = {}
     failures: list[str] = []
@@ -1327,10 +1283,7 @@ def main(argv=None) -> int:
         r = result[fig]["wall"]
         print(
             f"{fig} wall  {r['points']} pts  {r['events']:>8} events  "
-            f"batch {r['wall_s']*1e3:8.1f} ms ({r['events_per_sec']:,.0f} ev/s)  "
-            f"burst {r['wall_s_burst']*1e3:8.1f} ms  "
-            f"unfused {r['wall_s_unfused']*1e3:8.1f} ms  "
-            f"speedup {r['speedup_vs_unfused']:.2f}x"
+            f"{r['wall_s']*1e3:8.1f} ms  {r['events_per_sec']:>12,.0f} ev/s"
         )
     sc = result["serve"]
     print(

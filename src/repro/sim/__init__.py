@@ -25,10 +25,6 @@ from repro.sim.engine import (
     HoldRelease,
     PinConvoy,
     FaultConvoy,
-    PhaseCommand,
-    RingStage,
-    TreeRound,
-    PairwiseExchange,
     Join,
 )
 from repro.sim.resources import Mutex, Semaphore
@@ -47,10 +43,6 @@ __all__ = [
     "HoldRelease",
     "PinConvoy",
     "FaultConvoy",
-    "PhaseCommand",
-    "RingStage",
-    "TreeRound",
-    "PairwiseExchange",
     "Join",
     "Mutex",
     "Semaphore",

@@ -132,6 +132,36 @@ def test_convoy_section_shape(result):
         )
 
 
+def test_shape_sections_time_untraced_and_traced(result):
+    for shape in ("ring", "tree", "pairwise"):
+        sec = result[shape]
+        assert set(sec) == {
+            f"p{p}{suffix}"
+            for p in perfsuite.SHAPE_PROCS
+            for suffix in ("", "_traced")
+        }
+        for r in sec.values():
+            assert r["events"] > 0
+            assert r["events_per_sec"] == pytest.approx(
+                r["events"] / r["wall_s"], rel=5e-3
+            )
+
+
+def test_fig_walls_time_the_default_path_only(result):
+    for fig in ("fig09", "fig10"):
+        assert fig in perfsuite.GATED_SECTIONS
+        wall = result[fig]["wall"]
+        assert set(wall) == {
+            "points", "events", "events_per_sec",
+            "wall_s", "repeats", "wall_s_all", "spread_pct",
+        }
+        assert wall["points"] == len(perfsuite.FIG_WALL_POINTS_SMOKE)
+        assert wall["events"] > 0
+        assert wall["events_per_sec"] == pytest.approx(
+            wall["events"] / wall["wall_s"], rel=5e-3
+        )
+
+
 def test_xpmem_section_shape(result):
     xp = result["xpmem"]
     assert set(xp) == {f"w{c}" for c in perfsuite.XPMEM_READERS} | {"crossover"}

@@ -1,23 +1,22 @@
 """Mapped-window (XPMEM-style) lane differential battery.
 
-The fourth kernel mechanism must honour the same three-mode contract as
+The fourth kernel mechanism must honour the same two-mode contract as
 the CMA convoy machinery (``tests/test_convoy.py``): every workload runs
 under
 
-* ``unfused``  — ``Simulator(use_pin_convoy=False)``, the reference;
-* ``record``   — ``Simulator(use_convoy_burst=False)``, fused commands
-  executed record-at-a-time;
-* ``burst``    — ``Simulator()``, the default fast path (the cold
+* ``unfused`` — ``Simulator(use_pin_convoy=False)``, the reference;
+* ``fused``   — ``Simulator()``, the default fast path (the cold
   fault-in storm rides a :class:`~repro.sim.engine.FaultConvoy` with the
   pin-free copy fused on as its tail);
 
-and all three must agree bit-exactly: timestamps, FIFO grant order, mutex
+and both must agree bit-exactly: timestamps, FIFO grant order, mutex
 statistics, event counts, and the xpmem accounting counters.  Tracing is
-the fourth mode: it shares one code path across engines, and its
+the third mode: it shares one code path across engines, and its
 timestamps must equal the untraced runs'.
 
-Coverage: the five native xpmem collectives x three architectures, cold
-versus warm attach, a mid-run attacher joining a drained window, and a
+Coverage: the five native xpmem collectives x three architectures (the
+ring and pairwise ones also repeated on a warm node), cold versus warm
+attach, a mid-run attacher joining a drained window, and a
 hypothesis-randomized attach/copy interleaving whose property is exact
 map/fault accounting — map cost charged once per (owner, attacher) pair,
 each window page faulted exactly once per pair, however the copies
@@ -36,8 +35,7 @@ from repro.sim import Delay, Simulator
 
 MODES = {
     "unfused": {"use_pin_convoy": False},
-    "record": {"use_convoy_burst": False},
-    "burst": {},
+    "fused": {},
 }
 
 _MIB = 1 << 20
@@ -56,7 +54,6 @@ def _lock_stats(node):
                 m.acquisitions,
                 m.total_wait_us,
                 m.max_contenders,
-                m.generation,
                 m.holder is None,
                 len(m._waiters),
             )
@@ -69,12 +66,21 @@ def _xpmem_stats(node):
     return (x.attaches, x.maps_charged, x.page_faults, x.reads, x.writes)
 
 
-def _run_spec(spec: CollectiveSpec, sim_kw: dict):
+def _run_spec(spec: CollectiveSpec, sim_kw: dict, rounds: int = 1):
+    """Run ``spec`` ``rounds`` times on one node; snapshot the last round.
+
+    Round two onwards copies through warm windows (attach cache hit,
+    pages already faulted in); every round's timings are kept, as the
+    snapshot's last field.
+    """
     fn = _validated_algorithm(spec)
     node = Node(spec.arch, verify=spec.verify, trace=spec.trace,
                 sim=Simulator(**sim_kw))
     comm = Comm(node, spec.procs)
-    res = _execute(spec, fn, node, comm)
+    timings = []
+    for _ in range(rounds):
+        res = _execute(spec, fn, node, comm)
+        timings.append((res.latency_us, tuple(res.per_rank_us), res.sim_events))
     return (
         res.latency_us,
         tuple(res.per_rank_us),
@@ -83,31 +89,38 @@ def _run_spec(spec: CollectiveSpec, sim_kw: dict):
         _xpmem_stats(node),
         _lock_stats(node),
         tuple(sorted(res.trace_by_phase.items())) if spec.trace else None,
+        tuple(timings),
     )
 
 
 def _assert_modes_agree(run_one):
     ref = run_one(MODES["unfused"])
-    for name in ("record", "burst"):
-        got = run_one(MODES[name])
-        assert got == ref, f"{name} diverged from unfused reference"
+    got = run_one(MODES["fused"])
+    assert got == ref, "fused diverged from unfused reference"
     return ref
 
 
 # -- collective battery ------------------------------------------------------
 
+#: (collective, algorithm, params, rounds on one node).  The two-round
+#: entries run the first round cold and the second through warm windows.
 _BATTERY = [
-    ("scatter", "xpmem_read", {}),
-    ("gather", "xpmem_write", {}),
-    ("bcast", "xpmem_read", {}),
-    ("allgather", "xpmem_ring", {}),
-    ("alltoall", "xpmem_pairwise", {}),
+    ("scatter", "xpmem_read", {}, 1),
+    ("gather", "xpmem_write", {}, 1),
+    ("bcast", "xpmem_read", {}, 1),
+    ("allgather", "xpmem_ring", {}, 1),
+    ("alltoall", "xpmem_pairwise", {}, 1),
+    ("allgather", "xpmem_ring", {}, 2),
+    ("alltoall", "xpmem_pairwise", {}, 2),
 ]
+#: ids name each entry by its position, the form pytest's default ids use
+_BATTERY_IDS = [f"{c}-{a}-params{i}" for i, (c, a, _, _) in enumerate(_BATTERY)]
 
 
 @pytest.mark.parametrize("archname", ARCH_NAMES)
-@pytest.mark.parametrize("coll,alg,params", _BATTERY)
-def test_collectives_bit_exact_across_modes(archname, coll, alg, params):
+@pytest.mark.parametrize("coll,alg,params,rounds", _BATTERY, ids=_BATTERY_IDS)
+def test_collectives_bit_exact_across_modes(archname, coll, alg, params,
+                                            rounds):
     spec_kw = dict(
         collective=coll,
         algorithm=alg,
@@ -118,7 +131,7 @@ def test_collectives_bit_exact_across_modes(archname, coll, alg, params):
         verify=False,
     )
     ref = _assert_modes_agree(
-        lambda kw: _run_spec(CollectiveSpec(**spec_kw), kw)
+        lambda kw: _run_spec(CollectiveSpec(**spec_kw), kw, rounds)
     )
     attaches, maps, faults, reads, writes = ref[4]
     assert maps > 0 and attaches >= maps  # the lane actually ran cold
@@ -142,14 +155,13 @@ def test_traced_run_identical_across_modes(archname, coll, alg):
         eta=120_000,
         verify=False,
     )
-    untraced = _run_spec(CollectiveSpec(**spec_kw), MODES["burst"])
+    untraced = _run_spec(CollectiveSpec(**spec_kw), MODES["fused"])
 
     def run_traced(kw):
         return _run_spec(CollectiveSpec(**spec_kw, trace=True), kw)
 
     ref = run_traced(MODES["unfused"])
-    for name in ("record", "burst"):
-        assert run_traced(MODES[name]) == ref
+    assert run_traced(MODES["fused"]) == ref
     assert ref[0] == untraced[0]  # latency
     assert ref[1] == untraced[1]  # per-rank timestamps
     assert ref[4] == untraced[4]  # xpmem accounting
@@ -236,7 +248,7 @@ def _expected_accounting(node, comm, n_owners, windows, scripts):
 
 def test_cold_then_warm_attach_bit_exact():
     """Round 1 is the cold storm (map + fault-in under the owner's lock);
-    rounds 2..n are warm, pin-free copies.  Bit-exact in every mode, map
+    rounds 2..n are warm, pin-free copies.  Bit-exact in both modes, map
     cost charged once per pair despite one attach call per entry."""
     window = 12 * 4096
     scripts = [[(0, 0.0, 0, window, 1), (0, 0.0, 0, window, 3)]
@@ -276,7 +288,7 @@ def test_warm_copies_never_touch_the_mm_lock():
 def test_mid_run_attacher_join_bit_exact():
     """A late attacher joining after the early readers' windows are warm
     pays its own full map + fault-in — and the join must not disturb the
-    steady-state readers' timestamps in any mode."""
+    steady-state readers' timestamps in either mode."""
     window = 10 * 4096
     scripts = [[(0, 0.0, 0, window, 4)] for _ in range(4)]
     scripts.append([(0, 150.0, 0, window, 2)])  # the latecomer
@@ -394,9 +406,7 @@ def test_random_interleavings_charge_once_and_fault_once(
         return _snapshot(node, procs), node, comm, windows
 
     ref, node, comm, windows = run_one(MODES["unfused"])
-    for name in ("record", "burst"):
-        got = run_one(MODES[name])[0]
-        assert got == ref, f"{name} diverged from unfused reference"
+    assert run_one(MODES["fused"])[0] == ref, "fused diverged from unfused"
 
     expected = _expected_accounting(node, comm, n_owners, windows, scripts)
     assert node.xpmem.maps_charged == len(expected)
