@@ -2,8 +2,10 @@
 
 Records simulated-microsecond results for slices of Fig. 3 (one-to-all CMA
 microbenchmarks), Fig. 7 (scatter collectives, verified bytes), Table IV
-(the NLLS fitting pipeline), and two traced mapped-window (xpmem lane)
-collectives into ``engine_parity.json``.  The
+(the NLLS fitting pipeline), two traced mapped-window (xpmem lane)
+collectives, and the two-copy shared-memory data path (every registered
+algorithm that moves bytes through ``ShmTransport.send_data``, plus the
+CMA -> shm fallback) into ``engine_parity.json``.  The
 fixture pins the engine's *simulated-time* behaviour: any optimisation of
 the event loop, the resources, or the kernel fast paths must reproduce
 these numbers bit-for-bit (``tests/test_engine_golden.py``).
@@ -44,6 +46,61 @@ XPMEM_SPECS = [
     ("scatter", "xpmem_read", 64 * 1024),
     ("bcast", "xpmem_read", 256 * 1024),
 ]
+
+
+#: Two-copy shm lane: (collective, algorithm, params) for every registered
+#: algorithm whose data rides ``ShmTransport.send_data``/``recv_data``.
+SHM_ALGS = [
+    ("scatter", "binomial_p2p", {"threshold": 1 << 62}),
+    ("gather", "binomial_p2p", {"threshold": 1 << 62}),
+    ("bcast", "binomial_p2p", {"threshold": 1 << 62}),
+    ("allgather", "ring_p2p", {"threshold": 1 << 62}),
+    ("alltoall", "pairwise_shm", {}),
+]
+#: one single-chunk and one multi-chunk size (``shm_chunk`` is 8 KiB)
+SHM_ETAS = (4096, 20_000)
+SHM_ARCHS = ("knl", "broadwell")
+#: CMA -> shm fallback: an EPERM on the first CMA call routes the transfer
+#: through ``Comm._fallback_transfer``, whose helper process runs a bare
+#: ``send_data`` (read direction) or ``recv_data`` (write direction).
+SHM_FALLBACKS = [
+    ("scatter", "parallel_read", 16 * 1024),
+    ("scatter", "sequential_write", 16 * 1024),
+]
+
+
+def _shm_record(res) -> dict:
+    return {
+        "latency_us": res.latency_us,
+        "per_rank_us": res.per_rank_us,
+        "ctrl_messages": res.ctrl_messages,
+        "sim_events": res.sim_events,
+    }
+
+
+def capture_shm() -> dict:
+    from repro.core.runner import CollectiveSpec, run_collective
+    from repro.faults import FaultPlan, FaultSpec
+    from repro.machine import get_arch
+
+    shm = {}
+    for arch in SHM_ARCHS:
+        for coll, alg, params in SHM_ALGS:
+            for eta in SHM_ETAS:
+                spec = CollectiveSpec(
+                    coll, alg, get_arch(arch), procs=12, eta=eta, params=params
+                )
+                shm[f"{arch}/{coll}/{alg}/{eta}"] = _shm_record(run_collective(spec))
+    plan = FaultPlan(seed=0, specs=(FaultSpec("eperm", calls=(0,)),))
+    for coll, alg, eta in SHM_FALLBACKS:
+        spec = CollectiveSpec(
+            coll, alg, get_arch("knl"), procs=12, eta=eta, faults=plan
+        )
+        res = run_collective(spec)
+        rec = _shm_record(res)
+        rec["fallbacks"] = res.fallbacks
+        shm[f"knl/fallback/{coll}/{alg}/{eta}"] = rec
+    return shm
 
 
 def capture() -> dict:
@@ -107,7 +164,13 @@ def capture() -> dict:
         ],
     }
 
-    return {"fig03": fig03, "fig07": fig07, "tab04": tab04, "xpmem": xpmem}
+    return {
+        "fig03": fig03,
+        "fig07": fig07,
+        "tab04": tab04,
+        "xpmem": xpmem,
+        "shm": capture_shm(),
+    }
 
 
 def main() -> None:

@@ -1,7 +1,8 @@
 """Golden-parity replay: the engine's simulated results are pinned.
 
 ``tests/golden/engine_parity.json`` records simulated-microsecond outputs
-for Fig. 3 / Fig. 7 / Table IV slices.  This test recomputes them and
+for Fig. 3 / Fig. 7 / Table IV slices, the mapped-window lane and the
+two-copy shared-memory lane.  This test recomputes them and
 compares with *exact* float equality — no tolerance.  Engine, resource,
 and kernel optimisations must be bit-preserving; if this fails, either a
 fast path diverged from the reference semantics (a bug) or the model
@@ -51,6 +52,15 @@ def test_xpmem_traces_bit_exact(recomputed, golden):
     per-page fault-in convoy, and the steady-state copies — are pinned
     down to the per-phase time aggregates."""
     assert recomputed["xpmem"] == golden["xpmem"]
+
+
+def test_shm_lane_bit_exact(recomputed, golden):
+    """Every algorithm whose bytes ride the two-copy shm data path (eager
+    binomial trees, the eager ring, pairwise over shm) on two
+    architectures at a single-chunk and a multi-chunk size, plus the
+    CMA -> shm fallback helper in both directions: latency, per-rank
+    finish times, control traffic and simulator event counts."""
+    assert recomputed["shm"] == golden["shm"]
 
 
 def test_fixture_survives_json_roundtrip(recomputed):
