@@ -12,35 +12,14 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.sim.engine import Command, SimError
+# The message commands live in the engine, which open-codes them in its
+# run loop; they are re-exported here next to the mailboxes they target.
+from repro.sim.engine import ANY, Message, Recv, Send
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import SimProcess, Simulator
 
 __all__ = ["ANY", "Message", "Mailbox", "Send", "Recv"]
-
-
-class _Any:
-    def __repr__(self) -> str:
-        return "ANY"
-
-
-ANY = _Any()
-
-
-class Message:
-    """An in-flight or queued control message."""
-
-    __slots__ = ("src", "tag", "payload", "sent_at")
-
-    def __init__(self, src: int, tag: Any, payload: Any, sent_at: float):
-        self.src = src
-        self.tag = tag
-        self.payload = payload
-        self.sent_at = sent_at
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Message(src={self.src}, tag={self.tag!r}, payload={self.payload!r})"
 
 
 def _matches(msg: Message, src: Any, tag: Any) -> bool:
@@ -87,52 +66,3 @@ class Mailbox:
     @property
     def pending(self) -> int:
         return len(self._queue)
-
-
-class Send(Command):
-    """Deliver ``payload`` to ``mailbox`` after ``latency`` microseconds.
-
-    The sender also burns ``overhead`` microseconds of its own time (the
-    software cost of posting the message) before continuing.
-    """
-
-    __slots__ = ("mailbox", "src", "tag", "payload", "latency", "overhead")
-
-    def __init__(
-        self,
-        mailbox: Mailbox,
-        src: int,
-        tag: Any,
-        payload: Any = None,
-        latency: float = 0.0,
-        overhead: float = 0.0,
-    ):
-        if latency < 0 or overhead < 0:
-            raise SimError("negative message latency/overhead")
-        self.mailbox = mailbox
-        self.src = src
-        self.tag = tag
-        self.payload = payload
-        self.latency = latency
-        self.overhead = overhead
-
-    def _dispatch(self, sim: "Simulator", proc: "SimProcess") -> None:
-        msg = Message(self.src, self.tag, self.payload, sim.now)
-        # Delivery is scheduled before the sender's continuation: at equal
-        # latency/overhead the receiver's wakeup keeps its FIFO precedence.
-        sim._schedule_deliver(self.latency, self.mailbox, msg)
-        sim._schedule_resume(self.overhead, proc, None)
-
-
-class Recv(Command):
-    """Block until a matching message is available; evaluates to it."""
-
-    __slots__ = ("mailbox", "src", "tag")
-
-    def __init__(self, mailbox: Mailbox, src: Any = ANY, tag: Any = ANY):
-        self.mailbox = mailbox
-        self.src = src
-        self.tag = tag
-
-    def _dispatch(self, sim: "Simulator", proc: "SimProcess") -> None:
-        self.mailbox._post(proc, self.src, self.tag)
